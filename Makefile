@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench bench-smoke bench-compare corpus check clean
+.PHONY: all build vet test race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench bench-smoke bench-compare bench-build corpus check clean
 
 all: build
 
@@ -123,6 +123,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
 
+# The repo benchmark (benchmark/run.sh) is its own Go module, so
+# `go build ./...` never compiles it: vet and build it here so an API
+# change in internal/ cannot break the benchmark unnoticed.
+bench-build:
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
+
 # Regenerate the checked-in fuzz seed corpus after wire-format changes.
 corpus:
 	$(GO) run ./tools/gencorpus
@@ -140,7 +146,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke bench-compare cover
+check: vet build race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke bench-compare bench-build cover
 
 clean:
 	$(GO) clean ./...

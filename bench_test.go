@@ -245,11 +245,6 @@ func BenchmarkPruningMaxScoreVsExhaustive(b *testing.B) {
 			_ = search.WAND(sh, q, 10)
 		}
 	})
-	b.Run("maxscore-bm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = search.MaxScoreBM(sh, q, 10)
-		}
-	})
 	b.Run("wand-bm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = search.WANDBM(sh, q, 10)
@@ -296,10 +291,9 @@ func buildLargeShard() *index.Shard {
 // clustered term frequencies — each topic's terms carry high TFs inside
 // the topic's contiguous 1000-document range and incidental TF-1
 // occurrences elsewhere, the structure document-reordered real indexes
-// have and the reason block bounds have regions to veto. The -bm
-// variants must beat their global-bound ancestors here; the quick-scale
-// harness shards (a few hundred docs per ISN) are too small for
-// skipping to show.
+// have and the reason block bounds have regions to veto. wand-bm must
+// beat plain wand here; the quick-scale harness shards (a few hundred
+// docs per ISN) are too small for skipping to show.
 func BenchmarkPruningLargeShard(b *testing.B) {
 	sh := buildLargeShard()
 	// A stopword-frequency term plus a frequent term whose high-TF docs
@@ -315,7 +309,6 @@ func BenchmarkPruningLargeShard(b *testing.B) {
 		eval search.Evaluator
 	}{
 		{"maxscore", search.MaxScore},
-		{"maxscore-bm", search.MaxScoreBM},
 		{"wand", search.WAND},
 		{"wand-bm", search.WANDBM},
 	} {

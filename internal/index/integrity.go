@@ -106,10 +106,8 @@ func (s *Shard) blockSum(ti *TermInfo, bi int) uint32 {
 	return crc32.Update(crc, castagnoli, ti.Packed.Data[lo:hi])
 }
 
-// digestWriter folds typed values into a running CRC32C. It exists so
-// computeDigest (v5, in-memory shard) and legacyShardDigest (v4 wire
-// form, serialize.go) fold the shared regions — metadata, statistics,
-// positions — through one definition instead of two drifting copies.
+// digestWriter folds typed values into a running CRC32C for
+// computeDigest.
 type digestWriter struct {
 	crc uint32
 	buf [8]byte
@@ -128,22 +126,6 @@ func (d *digestWriter) u64(v uint64) {
 func (d *digestWriter) f64(v float64) { d.u64(math.Float64bits(v)) }
 
 func (d *digestWriter) text(s string) { d.crc = crc32.Update(d.crc, castagnoli, []byte(s)) }
-
-// foldShardHeader folds the document metadata and BM25 constants.
-func (d *digestWriter) foldShardHeader(id, numDocs, statsK int, avgDocLen float64, bm25 BM25Params, docLens []uint32, globalIDs []int64) {
-	d.u32(uint32(id))
-	d.u32(uint32(numDocs))
-	d.u32(uint32(statsK))
-	d.f64(avgDocLen)
-	d.f64(bm25.K1)
-	d.f64(bm25.B)
-	for _, dl := range docLens {
-		d.u32(dl)
-	}
-	for _, g := range globalIDs {
-		d.u64(uint64(g))
-	}
-}
 
 // foldStats folds all twenty term statistics in canonical order.
 func (d *digestWriter) foldStats(st *TermStats) {
@@ -170,16 +152,6 @@ func (d *digestWriter) foldStats(st *TermStats) {
 	d.f64(st.EstMaxScore)
 }
 
-// foldPositions folds one term's positional lists.
-func (d *digestWriter) foldPositions(positions [][]uint32) {
-	for _, pos := range positions {
-		d.u32(uint32(len(pos)))
-		for _, p := range pos {
-			d.u32(p)
-		}
-	}
-}
-
 // computeDigest folds every serialized region the per-block sums do NOT
 // cover into one whole-shard CRC32C: document metadata, BM25 constants,
 // per-term statistics, the full block overlay (bounds, quantized
@@ -189,7 +161,18 @@ func (d *digestWriter) foldPositions(positions [][]uint32) {
 // a flipped bit can not land in an unprotected byte.
 func (s *Shard) computeDigest() uint32 {
 	var d digestWriter
-	d.foldShardHeader(s.ID, s.NumDocs, s.StatsK, s.AvgDocLen, s.BM25, s.DocLens, s.GlobalIDs)
+	d.u32(uint32(s.ID))
+	d.u32(uint32(s.NumDocs))
+	d.u32(uint32(s.StatsK))
+	d.f64(s.AvgDocLen)
+	d.f64(s.BM25.K1)
+	d.f64(s.BM25.B)
+	for _, dl := range s.DocLens {
+		d.u32(dl)
+	}
+	for _, g := range s.GlobalIDs {
+		d.u64(uint64(g))
+	}
 	for i := range s.Terms {
 		ti := &s.Terms[i]
 		d.text(ti.Text)
@@ -204,16 +187,20 @@ func (s *Shard) computeDigest() uint32 {
 			d.u32(b.Off)
 			d.u32(uint32(b.DocW) | uint32(b.TFW)<<8 | uint32(b.QMax)<<16)
 		}
-		d.foldPositions(ti.Positions)
+		for _, pos := range ti.Positions {
+			d.u32(uint32(len(pos)))
+			for _, p := range pos {
+				d.u32(p)
+			}
+		}
 	}
 	return d.crc
 }
 
 // SealIntegrity computes and installs the shard's per-block checksums
 // and whole-shard digest from its current in-memory contents, and resets
-// the lazy-verification memo. Finalize seals every built shard; loading
-// a pre-checksum (v3) shard seals on upgrade so the scrubber and lazy
-// query-time verification work uniformly afterwards.
+// the lazy-verification memo. Finalize seals every built shard, and
+// Encode seals an unsealed one before writing it.
 func (s *Shard) SealIntegrity() {
 	total := 0
 	off := make([]int, len(s.Terms)+1)
@@ -234,7 +221,7 @@ func (s *Shard) SealIntegrity() {
 }
 
 // initIntegState builds the lazy-verification memo from the shard's
-// existing Sums without recomputing them. The v4 load path uses this
+// existing Sums without recomputing them. ReadShard uses this
 // directly: resealing there would overwrite the on-disk checksums and
 // blind eager verification to file corruption.
 func (s *Shard) initIntegState() {
@@ -419,7 +406,7 @@ func (s *Shard) VerifyQuery(terms []string) error {
 
 // VerifyIntegrity re-checksums the whole shard — digest first (document
 // metadata), then every posting block — returning the first localized
-// mismatch. ReadShard runs it eagerly on every v4 load; the indexer's
+// mismatch. ReadShard runs it eagerly on every load; the indexer's
 // -verify pass and tests run it on demand.
 func (s *Shard) VerifyIntegrity() error {
 	if s.integ == nil {

@@ -212,8 +212,8 @@ func (ti *TermInfo) Posting(i int) Posting {
 }
 
 // AllPostings materializes the full postings list in document order —
-// the bridge for cold paths (stats recomputation, legacy re-encoding,
-// differential tests) that want the flat slice back.
+// the bridge for cold paths (phrase candidate lists, differential
+// tests) that want the flat slice back.
 func (ti *TermInfo) AllPostings() []Posting {
 	out := make([]Posting, 0, ti.Packed.N)
 	var docs, tfs [BlockSize]uint32

@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"encoding/gob"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,21 +34,6 @@ func readWire(t *testing.T, w *shardWire) (*Shard, error) {
 	return ReadShard(&buf)
 }
 
-// legacyWireOf round-trips a shard into the editable wire form of an
-// old format version, via EncodeLegacy.
-func legacyWireOf(t *testing.T, s *Shard, version int) *shardWire {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, version); err != nil {
-		t.Fatal(err)
-	}
-	var w shardWire
-	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	return &w
-}
-
 func TestReadShardRejectsCorruptWire(t *testing.T) {
 	s := buildTestShard(t)
 	cases := []struct {
@@ -55,12 +41,15 @@ func TestReadShardRejectsCorruptWire(t *testing.T) {
 		mutate  func(w *shardWire)
 		errFrag string
 	}{
-		{"old version", func(w *shardWire) { w.Version = wireVersionV3 - 1 }, "format version"},
+		{"old version", func(w *shardWire) { w.Version = 2 }, "format version"},
+		{"v3 version", func(w *shardWire) { w.Version = 3 }, "format version"},
+		{"v4 version", func(w *shardWire) { w.Version = 4 }, "format version"},
 		{"future version", func(w *shardWire) { w.Version = wireVersion + 1 }, "format version"},
 		{"missing blocks", func(w *shardWire) { w.Blocks = w.Blocks[:1] }, "inconsistent term arrays"},
 		{"missing stats", func(w *shardWire) { w.TermStats = w.TermStats[:1] }, "inconsistent term arrays"},
 		{"missing packed payload", func(w *shardWire) { w.PackedData = w.PackedData[:1] }, "inconsistent term arrays"},
 		{"corrupt packed payload", func(w *shardWire) { w.PackedData[0] = []byte{0xff} }, "checksum mismatch"},
+		{"missing checksums", func(w *shardWire) { w.BlockSums = w.BlockSums[:1] }, "checksum arrays"},
 		{"positional arrays", func(w *shardWire) { w.Positions = make([][][]uint32, 1) }, "positional arrays"},
 		{"invalid shard", func(w *shardWire) { w.NumDocs++ }, "failed validation"},
 	}
@@ -79,27 +68,30 @@ func TestReadShardRejectsCorruptWire(t *testing.T) {
 	}
 }
 
-// TestLegacyCorruptBlobRejected: a legacy file whose varint postings
-// blob does not decode is rejected with the offending term named.
-func TestLegacyCorruptBlobRejected(t *testing.T) {
-	s := buildTestShard(t)
-	for _, v := range []int{wireVersionV3, wireVersionV4} {
-		w := legacyWireOf(t, s, v)
-		w.PostingBlobs[0] = []byte{0xff}
-		if _, err := readWire(t, w); err == nil || !strings.Contains(err.Error(), "term") {
-			t.Fatalf("v%d corrupt blob: got %v", v, err)
+// TestLegacyShardFilesRefused: the genuine v3/v4 shard files kept in the
+// fuzz corpus are refused at load, never misread as the current format.
+func TestLegacyShardFilesRefused(t *testing.T) {
+	for name, errFrag := range map[string]string{
+		"legacy-v3": "format version",
+		"legacy-v4": "format version",
+		"rot-v4":    "",
+	} {
+		raw, err := os.ReadFile("testdata/fuzz/FuzzShardDecode/" + name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestEncodeLegacyRejectsUnknownVersion(t *testing.T) {
-	s := buildTestShard(t)
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, wireVersion); err == nil {
-		t.Fatal("EncodeLegacy accepted the current version")
-	}
-	if err := s.EncodeLegacy(&buf, 2); err == nil {
-		t.Fatal("EncodeLegacy accepted an ancient version")
+		lit := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n")), ")")
+		data, err := strconv.Unquote(strings.TrimPrefix(lit, "[]byte("))
+		if err != nil {
+			t.Fatalf("%s: corpus entry: %v", name, err)
+		}
+		_, err = ReadShard(strings.NewReader(data))
+		if err == nil {
+			t.Fatalf("%s: old-format file loaded", name)
+		}
+		if !strings.Contains(err.Error(), errFrag) {
+			t.Fatalf("%s: error %q does not mention %q", name, err, errFrag)
+		}
 	}
 }
 

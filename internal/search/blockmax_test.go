@@ -8,11 +8,11 @@ import (
 	"cottage/internal/xrand"
 )
 
-// TestBlockMaxDifferential is the skip-enabled strategies' exactness
-// battery, mirroring the anytime one: across 320 random shards,
-// MaxScoreBM and WANDBM must return bitwise-identical hits — documents,
-// score bits, order — to Exhaustive. The quantized bounds may only veto
-// work, never change a score, so any unsound skip shows up here.
+// TestBlockMaxDifferential is the skip-enabled strategy's exactness
+// battery, mirroring the anytime one: across 320 random shards, WANDBM
+// must return bitwise-identical hits — documents, score bits, order — to
+// Exhaustive. The quantized bounds may only veto work, never change a
+// score, so any unsound skip shows up here.
 func TestBlockMaxDifferential(t *testing.T) {
 	rng := xrand.New(99)
 	for seed := uint64(0); seed < 320; seed++ {
@@ -20,12 +20,7 @@ func TestBlockMaxDifferential(t *testing.T) {
 		q := randomQuery(rng)
 		k := 1 + rng.Intn(25)
 		ex := Exhaustive(s, q, k)
-		ms := MaxScoreBM(s, q, k)
 		wd := WANDBM(s, q, k)
-		if !hitsIdentical(ex.Hits, ms.Hits) {
-			t.Fatalf("seed %d: maxscore-bm differs from exhaustive for %v k=%d:\n ex=%v\n bm=%v",
-				seed, q, k, ex.Hits, ms.Hits)
-		}
 		if !hitsIdentical(ex.Hits, wd.Hits) {
 			t.Fatalf("seed %d: wand-bm differs from exhaustive for %v k=%d:\n ex=%v\n bm=%v",
 				seed, q, k, ex.Hits, wd.Hits)
@@ -33,10 +28,11 @@ func TestBlockMaxDifferential(t *testing.T) {
 	}
 }
 
-// TestBlockMaxNeverDoesMoreWork: MaxScoreBM takes the exact MaxScore
-// path except where a quantized bound vetoes a probe, so it can only
-// traverse fewer postings, and scores the same candidates. On a skewed
-// query the veto must actually fire.
+// TestBlockMaxNeverDoesMoreWork: WANDBM takes the exact WAND path
+// except where a quantized bound vetoes a pivot, so it returns the same
+// hits and, on these queries, traverses no more postings; on the
+// common-term query the veto must actually fire. MaxScore, a reference
+// strategy, never touches the block bounds: its block counters stay zero.
 func TestBlockMaxNeverDoesMoreWork(t *testing.T) {
 	s := buildShard(t, 31, 8000)
 	for _, q := range [][]string{
@@ -44,30 +40,25 @@ func TestBlockMaxNeverDoesMoreWork(t *testing.T) {
 		{"wa", "wb", "wc"},
 		{"wa", "wb", "wc", "wd"},
 	} {
-		ms := MaxScore(s, q, 10)
-		bm := MaxScoreBM(s, q, 10)
-		if !hitsIdentical(ms.Hits, bm.Hits) {
-			t.Fatalf("%v: maxscore-bm hits differ from maxscore", q)
+		plain := WAND(s, q, 10)
+		bm := WANDBM(s, q, 10)
+		if !hitsIdentical(plain.Hits, bm.Hits) {
+			t.Fatalf("%v: wand-bm hits differ from wand", q)
 		}
-		if bm.Stats.PostingsTraversed > ms.Stats.PostingsTraversed {
-			t.Errorf("%v: maxscore-bm traversed %d postings, maxscore %d",
-				q, bm.Stats.PostingsTraversed, ms.Stats.PostingsTraversed)
+		if bm.Stats.PostingsTraversed > plain.Stats.PostingsTraversed {
+			t.Errorf("%v: wand-bm traversed %d postings, wand %d",
+				q, bm.Stats.PostingsTraversed, plain.Stats.PostingsTraversed)
 		}
-		if bm.Stats.DocsScored != ms.Stats.DocsScored {
-			t.Errorf("%v: maxscore-bm scored %d docs, maxscore %d",
-				q, bm.Stats.DocsScored, ms.Stats.DocsScored)
+		if ms := MaxScore(s, q, 10); ms.Stats.BlocksDecoded != 0 || ms.Stats.BlocksSkipped != 0 {
+			t.Errorf("%v: maxscore reported block work %+v", q, ms.Stats)
 		}
-	}
-	bm := MaxScoreBM(s, []string{"wc", "wd", "we"}, 10)
-	if bm.Stats.BlocksSkipped == 0 {
-		t.Error("balanced mid-frequency query produced no quantized-bound probe vetoes")
-	}
-	if bm.Stats.BlocksDecoded == 0 {
-		t.Error("BlocksDecoded not reported")
 	}
 	wd := WANDBM(s, []string{"wa", "wb"}, 10)
 	if wd.Stats.BlocksSkipped == 0 {
 		t.Error("wand-bm made no block skips on the common-term query")
+	}
+	if wd.Stats.BlocksDecoded == 0 {
+		t.Error("BlocksDecoded not reported")
 	}
 	plain := WAND(s, []string{"wa", "wb"}, 10)
 	if wd.Stats.PostingsTraversed >= plain.Stats.PostingsTraversed {
@@ -79,22 +70,14 @@ func TestBlockMaxNeverDoesMoreWork(t *testing.T) {
 // TestBlockMaxEdgeCases mirrors the reference strategies' edge behaviour.
 func TestBlockMaxEdgeCases(t *testing.T) {
 	s := buildShard(t, 3, 500)
-	for name, eval := range map[string]Evaluator{
-		"maxscore-bm": MaxScoreBM,
-		"wand-bm":     WANDBM,
-	} {
-		if r := eval(s, nil, 10); len(r.Hits) != 0 {
-			t.Errorf("%s: nil query should return nothing", name)
-		}
-		if r := eval(s, []string{"zzzznope"}, 10); len(r.Hits) != 0 || r.Stats.TermsMatched != 0 {
-			t.Errorf("%s: absent term should return nothing", name)
-		}
-		if r := eval(s, []string{"wa"}, 0); len(r.Hits) != 0 {
-			t.Errorf("%s: k=0 should return nothing", name)
-		}
+	if r := WANDBM(s, nil, 10); len(r.Hits) != 0 {
+		t.Error("nil query should return nothing")
 	}
-	if r := Eval(StrategyMaxScoreBM, s, []string{"wa"}, 5); len(r.Hits) == 0 {
-		t.Error("Eval dispatch to maxscore-bm failed")
+	if r := WANDBM(s, []string{"zzzznope"}, 10); len(r.Hits) != 0 || r.Stats.TermsMatched != 0 {
+		t.Error("absent term should return nothing")
+	}
+	if r := WANDBM(s, []string{"wa"}, 0); len(r.Hits) != 0 {
+		t.Error("k=0 should return nothing")
 	}
 	if r := Eval(StrategyWANDBM, s, []string{"wa"}, 5); len(r.Hits) == 0 {
 		t.Error("Eval dispatch to wand-bm failed")
@@ -103,19 +86,21 @@ func TestBlockMaxEdgeCases(t *testing.T) {
 
 func TestParseStrategy(t *testing.T) {
 	for _, st := range []Strategy{
-		StrategyExhaustive, StrategyMaxScore, StrategyWAND,
-		StrategyTAAT, StrategyMaxScoreBM, StrategyWANDBM,
+		StrategyExhaustive, StrategyMaxScore, StrategyWAND, StrategyWANDBM,
 	} {
 		got, ok := ParseStrategy(st.String())
 		if !ok || got != st {
 			t.Errorf("ParseStrategy(%q) = %v, %v", st.String(), got, ok)
 		}
 	}
-	if _, ok := ParseStrategy("nope"); ok {
-		t.Error("ParseStrategy accepted an unknown name")
+	// "taat" and "maxscore-bm" name evaluators that no longer exist.
+	for _, name := range []string{"nope", "taat", "maxscore-bm"} {
+		if _, ok := ParseStrategy(name); ok {
+			t.Errorf("ParseStrategy accepted %q", name)
+		}
 	}
-	if StrategyMaxScoreBM.String() != "maxscore-bm" || StrategyWANDBM.String() != "wand-bm" {
-		t.Error("block-max strategy names wrong")
+	if StrategyWANDBM.String() != "wand-bm" {
+		t.Error("block-max strategy name wrong")
 	}
 }
 
@@ -164,15 +149,8 @@ func TestBlockMaxStrategiesAllocNoMoreThanReference(t *testing.T) {
 	s := buildShard(t, 9, 4000)
 	q := []string{"wa", "wb", "wc"}
 	// Warm the pools.
-	MaxScore(s, q, 10)
-	MaxScoreBM(s, q, 10)
 	WAND(s, q, 10)
 	WANDBM(s, q, 10)
-	ms := testing.AllocsPerRun(50, func() { MaxScore(s, q, 10) })
-	bm := testing.AllocsPerRun(50, func() { MaxScoreBM(s, q, 10) })
-	if bm > ms {
-		t.Errorf("maxscore-bm allocates %v per run, maxscore %v", bm, ms)
-	}
 	wd := testing.AllocsPerRun(50, func() { WAND(s, q, 10) })
 	wb := testing.AllocsPerRun(50, func() { WANDBM(s, q, 10) })
 	if wb > wd {
@@ -185,15 +163,6 @@ func TestStatsAddBlockFields(t *testing.T) {
 	a.Add(ExecStats{BlocksDecoded: 10, BlocksSkipped: 20})
 	if a.BlocksDecoded != 11 || a.BlocksSkipped != 22 {
 		t.Errorf("Add dropped block fields: %+v", a)
-	}
-}
-
-func BenchmarkMaxScoreBM(b *testing.B) {
-	s := buildShard(b, 9, 10000)
-	q := []string{"wa", "wb", "wc"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MaxScoreBM(s, q, 10)
 	}
 }
 

@@ -9,12 +9,11 @@
 // Postings are stored bit-packed in 64-posting blocks (internal/index wire
 // v5); evaluators walk them through cursors that decode one block at a
 // time into fixed scratch. The reference strategies (Exhaustive, MaxScore,
-// WAND, TAAT, Anytime) visit exactly the postings their flat-slice
-// ancestors visited, so their ExecStats — and therefore the simulator's
-// figures — are unchanged. The block-max strategies (MaxScoreBM, WANDBM)
-// additionally consult the quantized per-block bounds to skip whole blocks
-// without decoding them; they return bitwise-identical hits with less
-// work.
+// WAND, Anytime) visit exactly the postings their flat-slice ancestors
+// visited, so their ExecStats — and therefore the simulator's figures —
+// are unchanged. The block-max strategy (WANDBM) additionally consults the
+// quantized per-block bounds to skip whole blocks without decoding them;
+// it returns bitwise-identical hits with less work.
 package search
 
 import (
@@ -92,12 +91,6 @@ const (
 	StrategyMaxScore
 	// StrategyWAND uses pivot-based skipping with per-term upper bounds.
 	StrategyWAND
-	// StrategyTAAT scores term-at-a-time with accumulators (no pruning).
-	StrategyTAAT
-	// StrategyMaxScoreBM is MaxScore with block-max refinement: probes
-	// into non-essential lists are abandoned when the quantized bound of
-	// the block they would decode cannot lift the document.
-	StrategyMaxScoreBM
 	// StrategyWANDBM is Block-Max WAND (Ding & Suel): after the pivot is
 	// chosen on global bounds, the quantized bounds of the blocks
 	// spanning the pivot document decide whether to evaluate or to jump
@@ -114,10 +107,6 @@ func (st Strategy) String() string {
 		return "maxscore"
 	case StrategyWAND:
 		return "wand"
-	case StrategyTAAT:
-		return "taat"
-	case StrategyMaxScoreBM:
-		return "maxscore-bm"
 	case StrategyWANDBM:
 		return "wand-bm"
 	default:
@@ -128,8 +117,7 @@ func (st Strategy) String() string {
 // ParseStrategy maps a strategy name back to its Strategy.
 func ParseStrategy(name string) (Strategy, bool) {
 	for _, st := range []Strategy{
-		StrategyExhaustive, StrategyMaxScore, StrategyWAND,
-		StrategyTAAT, StrategyMaxScoreBM, StrategyWANDBM,
+		StrategyExhaustive, StrategyMaxScore, StrategyWAND, StrategyWANDBM,
 	} {
 		if st.String() == name {
 			return st, true
@@ -147,10 +135,6 @@ func Eval(st Strategy, s *index.Shard, terms []string, k int) Result {
 		return MaxScore(s, terms, k)
 	case StrategyWAND:
 		return WAND(s, terms, k)
-	case StrategyTAAT:
-		return TAAT(s, terms, k)
-	case StrategyMaxScoreBM:
-		return MaxScoreBM(s, terms, k)
 	case StrategyWANDBM:
 		return WANDBM(s, terms, k)
 	default:
@@ -503,21 +487,6 @@ func Exhaustive(s *index.Shard, terms []string, k int) Result {
 // those lists stop producing candidates and are only probed for documents
 // surfaced by the essential lists.
 func MaxScore(s *index.Shard, terms []string, k int) Result {
-	return maxScore(s, terms, k, false)
-}
-
-// MaxScoreBM is MaxScore refined with the quantized block bounds: before
-// a probe into a non-essential list seeks (and decodes a block), the
-// QMax bound of the block the seek would land in is checked; when even
-// that ceiling plus the remaining lists' global bounds cannot beat the
-// threshold, the candidate is abandoned without touching the payload.
-// Hits are bitwise-identical to MaxScore — the bounds only veto work,
-// never scores — but BlocksSkipped probes and their decodes are saved.
-func MaxScoreBM(s *index.Shard, terms []string, k int) Result {
-	return maxScore(s, terms, k, true)
-}
-
-func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 	set := openCursorSet(s, terms)
 	defer set.put()
 	cs := set.cs
@@ -595,26 +564,6 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 				break
 			}
 			c := cs[j]
-			if blockMax {
-				// Replace list j's global bound with the quantized ceiling
-				// of the one block its seek would decode. Sound because
-				// DequantBound >= the block's exact Max >= any contribution
-				// from a document in the block — so this prune is strictly
-				// tighter than the prefix[j] one above.
-				bb := 0.0
-				if bi := c.shallowBlock(minDoc); bi >= 0 {
-					bb = index.DequantBound(c.ti.Blocks[bi].QMax, c.ti.Stats.MaxScore)
-				}
-				rest := 0.0
-				if j > 0 {
-					rest = prefix[j-1]
-				}
-				if score+bb+rest <= theta {
-					ok = false
-					st.BlocksSkipped++
-					break
-				}
-			}
 			if c.seek(minDoc) {
 				v := s.TermScore(c.ti, index.Posting{Doc: minDoc, TF: c.tf()})
 				score += v
@@ -639,11 +588,6 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 		theta = tk.threshold()
 		for first < m && prefix[first] <= theta {
 			first++
-		}
-	}
-	if blockMax {
-		for _, c := range cs {
-			st.BlocksDecoded += c.decodes
 		}
 	}
 	return Result{Hits: tk.hits(s), Stats: st}

@@ -168,11 +168,13 @@ func main() {
 		"absent": anytimeEntry(1023, 24, 100, 1, 0),
 	})
 
-	// Shard decode seeds: a valid packed (wire v5) file, truncations,
+	// Shard decode seeds: a valid packed (wire v5) file, truncations, and
 	// bit-flip rot at three densities (the at-rest corruption the CRC32C
-	// plane exists to refuse), genuine v4 and v3 files for the legacy
-	// load paths, and a rotted v4. Mirrors FuzzShardDecode's f.Add seeds
-	// in internal/index/fuzz_test.go.
+	// plane exists to refuse). Mirrors FuzzShardDecode's f.Add seeds in
+	// internal/index/fuzz_test.go. The committed legacy-v3, legacy-v4 and
+	// rot-v4 entries are genuine old-format files this tool can no longer
+	// write; writeCorpus leaves them in place as inputs ReadShard must
+	// refuse.
 	b := index.NewBuilder(3, index.DefaultBM25(), 10)
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for d := 0; d < 60; d++ {
@@ -195,15 +197,6 @@ func main() {
 		faults.FlipBits(m, n, uint64(77+n))
 		return m
 	}
-	legacy := func(version int) []byte {
-		var buf bytes.Buffer
-		if err := shard.EncodeLegacy(&buf, version); err != nil {
-			log.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	rottedV4 := legacy(4)
-	faults.FlipBits(rottedV4, 16, 93)
 	writeCorpus("internal/index/testdata/fuzz/FuzzShardDecode", map[string][]byte{
 		"valid":     shardV5,
 		"truncated": shardV5[:len(shardV5)/2],
@@ -211,9 +204,6 @@ func main() {
 		"rot-1":     rot(1),
 		"rot-16":    rot(16),
 		"rot-256":   rot(256),
-		"legacy-v3": legacy(3),
-		"legacy-v4": legacy(4),
-		"rot-v4":    rottedV4,
 	})
 
 	// Packed-postings geometry seeds: the sub-wire fuzz target that
