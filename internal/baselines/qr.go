@@ -72,7 +72,7 @@ func NewQR(e *engine.Engine, ds *predict.Dataset, queries []trace.Query, cfg QRC
 	var xs [][]float64
 	var ys []int
 	for qi, q := range queries {
-		est := e.Gamma.Estimate(q.Terms, e.K)
+		est := e.GammaEstimate(q, e.K)
 		order := rankByEstimate(est)
 		sorted := make([]float64, len(order))
 		totalTruth := 0
@@ -124,7 +124,7 @@ func (*QR) Name() string { return "qr" }
 // Decide implements engine.Policy: rank by Gamma estimate, cut at the
 // model's predicted depth.
 func (q *QR) Decide(e *engine.Engine, qr trace.Query, _ float64) engine.Decision {
-	est := e.Gamma.Estimate(qr.Terms, e.K)
+	est := e.GammaEstimate(qr, e.K)
 	order := rankByEstimate(est)
 	sorted := make([]float64, len(order))
 	for i, si := range order {

@@ -31,7 +31,7 @@ func (*Taily) Name() string { return "taily" }
 
 // Decide implements engine.Policy.
 func (t *Taily) Decide(e *engine.Engine, q trace.Query, _ float64) engine.Decision {
-	est := e.Gamma.Estimate(q.Terms, e.K)
+	est := e.GammaEstimate(q, e.K)
 	participate := make([]bool, len(e.Shards))
 	selected := 0
 	best, bestShard := -1.0, 0

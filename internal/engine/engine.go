@@ -110,6 +110,9 @@ type Engine struct {
 	// runObs caches the current Run's metric handles (resolved once per
 	// Run so the per-query hot path never touches the registry).
 	runObs *engineRunObs
+	// replaying is the query whose decision Run is asking the policy for;
+	// Predictions and GammaEstimate serve its memo.
+	replaying *Evaluated
 }
 
 // engineRunObs holds one Run's pre-resolved metric handles.
@@ -222,6 +225,11 @@ type Evaluated struct {
 	// returns); TopKSet indexes it.
 	TopK    []search.Hit
 	TopKSet map[int64]bool
+
+	// est memoizes the query's predictions and Gamma estimates (see
+	// Engine.Predictions). It sits behind a pointer so copies of an
+	// Evaluated — arrival-rescaled clones — share it.
+	est *estimates
 }
 
 // evaluate is Evaluate with an explicit cap on the per-shard fan-out.
@@ -233,6 +241,7 @@ func (e *Engine) evaluate(q trace.Query, shardWorkers int) *Evaluated {
 		Query:    q,
 		PerShard: make([]search.Result, len(e.Shards)),
 		Cycles:   make([]float64, len(e.Shards)),
+		est:      &estimates{},
 	}
 	lists := make([][]search.Hit, len(e.Shards))
 	par.ForMax(len(e.Shards), shardWorkers, func(si int) {
@@ -463,7 +472,9 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			}
 		}
 	}
+	e.replaying = ev
 	d := p.Decide(e, ev.Query, arrive)
+	e.replaying = nil
 	if len(d.Participate) != len(e.Shards) {
 		panic(fmt.Sprintf("engine: policy %s sized Participate %d for %d shards",
 			p.Name(), len(d.Participate), len(e.Shards)))

@@ -89,7 +89,7 @@ func TestAnatomyDeterministic(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		var buf bytes.Buffer
-		if err := Anatomy(s, &buf); err != nil {
+		if err := Anatomy(coldSetup(s), &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -34,6 +34,19 @@ func testSetup(tb testing.TB) *Setup {
 	return setup
 }
 
+// coldSetup returns a copy of s with freshly evaluated query pools, so
+// replays on it compute predictions and Gamma estimates cold rather than
+// reading what earlier replays memoized. Determinism tests evaluate one
+// per GOMAXPROCS setting; otherwise the second setting would never run a
+// predictor.
+func coldSetup(s *Setup) *Setup {
+	c := *s
+	c.WikiEval = s.Engine.EvaluateAll(s.WikiQueries)
+	c.LuceneEval = s.Engine.EvaluateAll(s.LuceneQueries)
+	c.cmp, c.abl = nil, nil
+	return &c
+}
+
 func summaries(c *Comparison, traceIdx int) map[string]engine.Summary {
 	m := make(map[string]engine.Summary)
 	for pi, name := range c.Policies {

@@ -43,7 +43,7 @@ func TestIntegrityDeterministic(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		var buf bytes.Buffer
-		if err := IntegritySweep(s, &buf); err != nil {
+		if err := IntegritySweep(coldSetup(s), &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

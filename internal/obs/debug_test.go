@@ -6,8 +6,12 @@ package obs_test
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,4 +185,104 @@ func TestStartDebugRegistersRuntimeMetrics(t *testing.T) {
 			t.Errorf("scrape missing runtime gauge %q", want)
 		}
 	}
+}
+
+// TestUnboundedBudgetExports runs a trace whose decision record has an
+// infinite budget (Algorithm 1 kept no candidate) through every export
+// path — Recorder.WriteJSONL, FlightRecorder.WriteJSONL, DumpFile and
+// the /debug/traces and /debug/flight endpoints — between two ordinary
+// traces. Every path must emit all three and decode the budget back to
+// +Inf; encoding/json alone refuses +Inf and would abort the dump.
+func TestUnboundedBudgetExports(t *testing.T) {
+	o := obs.NewObserver(2, 8)
+	o.Flight = obs.NewFlightRecorder(4, 4, 0)
+	budgets := []float64{12.5, math.Inf(1), 3}
+	for i, b := range budgets {
+		tb := obs.NewTraceBuilder(int64(1000 * (i + 1)))
+		root := tb.StartSpan("query", 0, int64(1000*(i+1)))
+		bs := tb.StartSpan("budget", root.ID(), int64(1000*(i+1)))
+		bs.SetDecision(&obs.DecisionRecord{BudgetMS: b, BudgetISN: -1})
+		bs.End(int64(1000 * (i + 1)))
+		root.End(int64(1000*(i+1) + 100*(i+1)))
+		o.AddTrace(tb.Finish())
+	}
+	// decoded collects the budgets of the traces a dump carries, sorted
+	// so the flight recorder's slow-first order compares equal.
+	decoded := func(traces []*obs.Trace) []float64 {
+		var got []float64
+		for _, tr := range traces {
+			got = append(got, tr.Find("budget").Decision.BudgetMS)
+		}
+		slices.Sort(got)
+		return got
+	}
+	want := slices.Clone(budgets)
+	slices.Sort(want)
+	check := func(path string, traces []*obs.Trace) {
+		t.Helper()
+		if got := decoded(traces); !slices.Equal(got, want) {
+			t.Errorf("%s: budgets %v, want %v", path, got, want)
+		}
+	}
+	jsonl := func(path string, body string, flight bool) []*obs.Trace {
+		t.Helper()
+		var out []*obs.Trace
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			var fl struct{ Trace *obs.Trace }
+			var tr obs.Trace
+			var err error
+			if flight {
+				err = json.Unmarshal([]byte(line), &fl)
+			} else {
+				err = json.Unmarshal([]byte(line), &tr)
+				fl.Trace = &tr
+			}
+			if err != nil {
+				t.Fatalf("%s: bad line %q: %v", path, line, err)
+			}
+			out = append(out, fl.Trace)
+		}
+		return out
+	}
+
+	var buf strings.Builder
+	if err := o.Traces.WriteJSONL(&buf); err != nil {
+		t.Fatalf("Recorder.WriteJSONL: %v", err)
+	}
+	if !strings.Contains(buf.String(), `"budget_ms":null,"budget_unbounded":true`) {
+		t.Errorf("Recorder.WriteJSONL: no explicit unbounded budget in %s", buf.String())
+	}
+	check("Recorder.WriteJSONL", jsonl("Recorder.WriteJSONL", buf.String(), false))
+
+	buf.Reset()
+	if n, err := o.Flight.WriteJSONL(&buf); err != nil || n != len(budgets) {
+		t.Fatalf("FlightRecorder.WriteJSONL: %d lines, %v", n, err)
+	}
+	check("FlightRecorder.WriteJSONL", jsonl("FlightRecorder.WriteJSONL", buf.String(), true))
+
+	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	if n, err := o.Flight.DumpFile(path); err != nil || n != len(budgets) {
+		t.Fatalf("DumpFile: %d lines, %v", n, err)
+	}
+	dump, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DumpFile", jsonl("DumpFile", string(dump), true))
+
+	mux := obs.NewDebugMux(o)
+	var traces []*obs.Trace
+	if err := json.Unmarshal(get(t, mux, "/debug/traces").Body.Bytes(), &traces); err != nil {
+		t.Fatalf("/debug/traces: %v", err)
+	}
+	check("/debug/traces", traces)
+	check("/debug/traces?format=jsonl", jsonl("/debug/traces?format=jsonl",
+		get(t, mux, "/debug/traces?format=jsonl").Body.String(), false))
+	var snap obs.FlightSnapshot
+	if err := json.Unmarshal(get(t, mux, "/debug/flight").Body.Bytes(), &snap); err != nil {
+		t.Fatalf("/debug/flight: %v", err)
+	}
+	check("/debug/flight", append(snap.Slowest, snap.Reservoir...))
+	check("/debug/flight?format=jsonl", jsonl("/debug/flight?format=jsonl",
+		get(t, mux, "/debug/flight?format=jsonl").Body.String(), true))
 }

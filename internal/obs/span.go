@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"sync"
 )
@@ -73,20 +74,65 @@ func (t *Trace) Root() *Span {
 // which ISN's boosted latency set it, and who got boosted, downclocked
 // or dropped. Everything needed to replay the decision by hand.
 type DecisionRecord struct {
-	BudgetMS       float64        `json:"budget_ms"`
-	BudgetISN      int            `json:"budget_isn"` // ISN whose L^boosted set T; -1 if none
-	Selected       []int          `json:"selected,omitempty"`
-	Boosted        []int          `json:"boosted,omitempty"`
-	Downclocked    []int          `json:"downclocked,omitempty"`
-	Dropped        []int          `json:"dropped,omitempty"`
+	// BudgetMS is +Inf when Algorithm 1 kept no candidate and the
+	// aggregator waits for every participant; JSON carries that as
+	// "budget_ms": null with "budget_unbounded": true.
+	BudgetMS    float64 `json:"budget_ms"`
+	BudgetISN   int     `json:"budget_isn"` // ISN whose L^boosted set T; -1 if none
+	Selected    []int   `json:"selected,omitempty"`
+	Boosted     []int   `json:"boosted,omitempty"`
+	Downclocked []int   `json:"downclocked,omitempty"`
+	Dropped     []int   `json:"dropped,omitempty"`
 	// Truncated lists ISNs whose execution missed the budget but still
 	// answered with a truncated anytime result (filled in after the
 	// search legs complete, not by Algorithm 1 itself).
-	Truncated []int `json:"truncated,omitempty"`
-	Missing   []int `json:"missing,omitempty"` // ISNs with no prediction (degraded)
+	Truncated      []int          `json:"truncated,omitempty"`
+	Missing        []int          `json:"missing,omitempty"` // ISNs with no prediction (degraded)
 	DegradedMode   string         `json:"degraded_mode,omitempty"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
 	Reports        []ReportRecord `json:"reports,omitempty"`
+}
+
+// decisionJSON is DecisionRecord's JSON form. encoding/json refuses
+// +Inf, and one refused record would abort a whole trace dump, so the
+// budget travels as a nullable number plus a flag.
+type decisionJSON struct {
+	decisionFields
+	BudgetMS        *float64 `json:"budget_ms"`
+	BudgetUnbounded bool     `json:"budget_unbounded,omitempty"`
+}
+
+// decisionFields sheds DecisionRecord's methods so decisionJSON can embed
+// it without recursing.
+type decisionFields DecisionRecord
+
+// MarshalJSON implements json.Marshaler, encoding a +Inf budget as null
+// flagged unbounded.
+func (d DecisionRecord) MarshalJSON() ([]byte, error) {
+	w := decisionJSON{decisionFields: decisionFields(d)}
+	if math.IsInf(d.BudgetMS, 1) {
+		w.BudgetUnbounded = true
+	} else {
+		w.BudgetMS = &d.BudgetMS
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler, restoring an unbounded
+// budget as +Inf.
+func (d *DecisionRecord) UnmarshalJSON(b []byte) error {
+	var w decisionJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*d = DecisionRecord(w.decisionFields)
+	switch {
+	case w.BudgetUnbounded:
+		d.BudgetMS = math.Inf(1)
+	case w.BudgetMS != nil:
+		d.BudgetMS = *w.BudgetMS
+	}
+	return nil
 }
 
 // ReportRecord is one ISN's predictor inputs and Algorithm 1 outcome.
